@@ -128,6 +128,7 @@ let write_json file =
   Printf.fprintf oc "  \"schema\": \"gcr-bench/1\",\n";
   Printf.fprintf oc "  \"label\": \"%s\",\n" (json_escape options.label);
   Printf.fprintf oc "  \"smoke\": %b,\n" options.smoke;
+  Printf.fprintf oc "  \"profile\": \"%s\",\n" (json_escape Gcr_util.Build_info.profile);
   Printf.fprintf oc "  \"results\": [\n";
   List.iteri
     (fun i r ->
@@ -200,6 +201,8 @@ let parse_baseline file =
     else if String.length s >= 5 && String.sub s 0 5 = "false" then Some false
     else None
   in
+  (* None for files written before the header field existed *)
+  let profile = Option.bind (find_field text "profile") scan_string in
   (* split on "{" at object depth 2 inside the results array *)
   (match String.index_opt text '[' with
   | None -> ()
@@ -226,13 +229,15 @@ let parse_baseline file =
         end
         else incr i
       done);
-  List.rev !entries
+  (profile, List.rev !entries)
 
 let compare_baseline file =
-  let baseline = parse_baseline file in
+  let baseline_profile, baseline = parse_baseline file in
   let tolerance = 0.20 in
   let failures = ref 0 in
   Printf.printf "\ncomparison vs %s (gate: 20%% on tracked kernels)\n" file;
+  Printf.printf "  build profile %s, baseline %s\n" Gcr_util.Build_info.profile
+    (Option.value baseline_profile ~default:"unrecorded");
   List.iter
     (fun r ->
       match List.find_opt (fun (name, _, _, _) -> name = r.name) baseline with

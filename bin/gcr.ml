@@ -961,7 +961,9 @@ let tape_cmd =
 let main =
   let doc = "empirical lower bounds on the overheads of production garbage collectors" in
   Cmd.group
-    (Cmd.info "gcr" ~version:"1.0.0" ~doc)
+    (Cmd.info "gcr"
+       ~version:(Printf.sprintf "1.0.0 (profile %s)" Gcr_util.Build_info.profile)
+       ~doc)
     [
       list_cmd; run_cmd; minheap_cmd; artefact_cmd; campaign_cmd; worker_cmd;
       ablation_cmd; trace_cmd; tape_cmd; market_cmd;

@@ -246,7 +246,7 @@ let stw_grid campaign ~title ~fraction =
                          (Array.of_list (List.map fraction runs))))
                 benches
             in
-            if List.exists Option.is_none per_bench then Tablefmt.Missing
+            if per_bench = [] || List.exists Option.is_none per_bench then Tablefmt.Missing
             else
               let values = Array.of_list (List.filter_map Fun.id per_bench) in
               Tablefmt.Num (100.0 *. Stats.mean values, 1))

@@ -151,6 +151,26 @@ let test_report_generators_run () =
     (fun needle -> check Alcotest.bool ("output has " ^ needle) true (contains out needle))
     [ "TABLE VI"; "TABLE VII"; "TABLE VIII"; "TABLE IX"; "TABLE X"; "TABLE XI"; "TABLE II" ]
 
+let test_report_all_without_core_benchmarks () =
+  (* xalan is excluded from the core summaries, so the summary tables have
+     no benchmark to average over: they must render blank cells. *)
+  let config =
+    {
+      (Harness.default_config ()) with
+      Harness.invocations = 1;
+      scale = 0.02;
+      heap_factors = [ 3.0 ];
+      log_progress = false;
+    }
+  in
+  let c =
+    Harness.run_campaign config ~benchmarks:[ Suite.find_exn "xalan" ] ~gcs:[ Registry.G1 ]
+  in
+  let out = with_stdout_captured (fun () -> Report.all c) in
+  List.iter
+    (fun needle -> check Alcotest.bool ("output has " ^ needle) true (contains out needle))
+    [ "TABLE VI"; "TABLE X"; "TABLE XI"; "FIGURE 4" ]
+
 let test_validation_bound_holds () =
   let c = Lazy.force campaign in
   List.iter
@@ -196,6 +216,8 @@ let suite =
     Alcotest.test_case "geomean empty benches" `Quick test_geomean_empty_benches;
     Alcotest.test_case "larger heap cheaper" `Quick test_larger_heap_cheaper;
     Alcotest.test_case "report generators run" `Quick test_report_generators_run;
+    Alcotest.test_case "report all without core benchmarks" `Quick
+      test_report_all_without_core_benchmarks;
     Alcotest.test_case "validation bound holds" `Quick test_validation_bound_holds;
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
   ]

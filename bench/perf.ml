@@ -29,6 +29,8 @@ module Obj_model = Gcr_heap.Obj_model
 module Allocator = Gcr_heap.Allocator
 module Binary_heap = Gcr_util.Binary_heap
 module Tracer = Gcr_gcs.Tracer
+module Full_compact = Gcr_gcs.Full_compact
+module Worker_pool = Gcr_gcs.Worker_pool
 module Gc_types = Gcr_gcs.Gc_types
 module Cost_model = Gcr_mach.Cost_model
 module Machine = Gcr_mach.Machine
@@ -419,6 +421,52 @@ let bench_alloc ~regions ~reps =
   let dt = best_of reps run in
   float_of_int !count /. dt
 
+(* Full collection: mark, one-pass sweep and sliding compaction of a
+   fixed fragmented heap (every third object rooted, chained to its
+   predecessor, the rest garbage), as in a G1 minheap probe's fallback
+   full GCs.  Only the collection is timed: each repetition builds a fresh
+   copy of the heap first.  Microseconds per collection. *)
+let bench_full_compact ~objects ~reps =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let region_words = 256 in
+    let heap =
+      Heap.create ~capacity_words:(objects * 12 / region_words * region_words * 2)
+        ~region_words ()
+    in
+    let engine = Engine.create ~cpus:4 () in
+    let ctx = Gc_types.make_ctx ~heap ~engine ~cost:Cost_model.default ~machine:Machine.default in
+    let alloc = Allocator.create heap ~space:Region.Eden in
+    Gcr_util.Vec.push ctx.Gc_types.allocators alloc;
+    let prng = Prng.create 11 in
+    let roots = ref [] in
+    let prev = ref Obj_model.null in
+    for i = 0 to objects - 1 do
+      match Allocator.alloc alloc ~size:(4 + Prng.int prng 8) ~nfields:2 with
+      | Allocator.Allocated { obj; _ } ->
+          if i mod 3 = 0 then begin
+            roots := obj :: !roots;
+            Heap.set_field heap obj 0 !prev
+          end;
+          prev := obj
+      | Allocator.Out_of_regions -> failwith "bench_full_compact: out of regions"
+    done;
+    (ctx.Gc_types.iter_roots := fun f -> List.iter f !roots);
+    let pool = Worker_pool.create ctx ~count:2 ~name:"bench-compact" in
+    let driver = Engine.spawn engine ~kind:Engine.Mutator ~name:"driver" in
+    Engine.request_stop engine ~reason:"bench" (fun () ->
+        Full_compact.run ctx ~pool ~on_done:(fun _ ->
+            Engine.release_stop engine;
+            Engine.exit_thread engine driver));
+    let t0 = Unix.gettimeofday () in
+    (match Engine.run engine () with
+    | Engine.All_mutators_finished -> ()
+    | Engine.Aborted reason -> failwith ("bench_full_compact: " ^ reason));
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best *. 1e6
+
 (* Full-run kernel: lusearch at ~3x its minimum heap, one fixed-seed
    invocation with the paper's default concurrent collector.  Seconds of
    host time, the closest proxy for campaign cost. *)
@@ -783,6 +831,10 @@ let run_wall_clock () =
     Higher_is_better;
   let alloc = bench_alloc ~regions:(if options.smoke then 512 else 2048) ~reps in
   record "heap/allocs_per_sec" alloc "allocs/s" Higher_is_better;
+  let compact_us =
+    bench_full_compact ~objects:(if options.smoke then 5_000 else 20_000) ~reps
+  in
+  record ~tracked:false "gc/full_compact_us" compact_us "us" Lower_is_better;
   let full = bench_full_run ~scale:0.25 ~reps:(if options.smoke then 2 else 3) in
   record "run/lusearch_3x_seconds" full "s" Lower_is_better;
   let replayed = bench_full_run_replay ~scale:0.25 ~reps:(if options.smoke then 2 else 3) in

@@ -222,7 +222,7 @@ let controllers_arg =
   Arg.(value & opt (list string) [ "fixed" ] & info [ "controllers" ] ~docv:"A,B" ~doc)
 
 let resolve_cache_dir arg =
-  match (match arg with Some _ -> arg | None -> Sys.getenv_opt "GCR_CACHE_DIR") with
+  match (match arg with Some _ -> arg | None -> Result_cache.env_dir ()) with
   | None -> None
   | Some dir -> (
       (* validate eagerly: a bad cache location should be a clean CLI

@@ -85,7 +85,7 @@ let default_config () =
     log_progress = true;
     jobs = Pool.default_jobs ();
     workers = None;
-    cache_dir = Sys.getenv_opt "GCR_CACHE_DIR";
+    cache_dir = Result_cache.env_dir ();
     tapes = Minheap.tapes_enabled ();
     controllers = [ Controller.fixed ];
     listen = None;

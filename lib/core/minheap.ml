@@ -30,11 +30,15 @@ let default_config () =
   }
 
 (* Key the caches on everything that can change the answer, including a
-   fingerprint of the cost model (minimum heaps move when costs do). *)
-let cost_fingerprint (c : Cost_model.t) = Hashtbl.hash c land 0xFFFFFF
+   digest of every cost-model field (minimum heaps move when costs do).
+   [Hashtbl.hash] would not do: it reads only the first ten fields of a
+   record, so models differing only in a later field would share
+   entries. *)
+let cost_fingerprint (c : Cost_model.t) =
+  Digest.to_hex (Digest.string (Gcr_sched.Cache_key.render_cost c))
 
 let cache_key config (spec : Spec.t) =
-  Printf.sprintf "%s|packets=%d|threads=%d|gc=%s|seed=%d|region=%d|cpus=%d|cost=%x"
+  Printf.sprintf "%s|packets=%d|threads=%d|gc=%s|seed=%d|region=%d|cpus=%d|cost=%s"
     spec.Spec.name spec.Spec.packets_per_thread spec.Spec.mutator_threads
     (Registry.name config.gc) config.seed config.region_words
     config.machine.Machine.cpus (cost_fingerprint config.cost)
@@ -44,7 +48,7 @@ let memo : (string, int) Hashtbl.t = Hashtbl.create 32
 let clear_memo () = Hashtbl.reset memo
 
 let cache_path () =
-  match Sys.getenv_opt "GCR_CACHE_DIR" with
+  match Result_cache.env_dir () with
   | Some dir -> Some (Filename.concat dir "minheap.tsv")
   | None ->
       let dir = Filename.concat (Sys.getcwd ()) ".gcr-cache" in

@@ -67,8 +67,10 @@ end
 
 val cache_path : unit -> string option
 (** Where results are persisted: [$GCR_CACHE_DIR/minheap.tsv] if
-    [GCR_CACHE_DIR] is set, else [./.gcr-cache/minheap.tsv] when the
-    working directory is writable, else no persistence. *)
+    [GCR_CACHE_DIR] is set and not empty, else [./.gcr-cache/minheap.tsv]
+    when the working directory is writable, else no persistence.  Entries
+    are keyed by benchmark, collector, seed, geometry and a digest of the
+    whole cost model. *)
 
 val clear_memo : unit -> unit
 (** Test hook: forget in-process results (the file cache is untouched). *)

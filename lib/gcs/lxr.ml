@@ -120,7 +120,7 @@ let[@inline] push_entry q store id =
 
 (* Free one object in place: its region keeps the garbage words (what
    fragmentation-driven evacuation later reclaims) and is flagged for
-   object-vec compaction; the object's out-edges become deferred
+   object-list compaction; the object's out-edges become deferred
    decrements. *)
 let free_one s id =
   let store = s.store in

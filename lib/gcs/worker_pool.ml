@@ -60,19 +60,25 @@ let run_phase t ~phase ~work ~on_done =
       on_done ()
     end
   in
-  let rec pull worker th () =
-    let cost = work ~worker in
-    if cost > 0 then Engine.submit engine th ~cycles:(cost + dispatch_cost) (pull worker th)
-    else
-      (* Termination barrier, then park until the next phase. *)
-      Engine.submit engine th ~cycles:(termination_cost t) (fun () -> finish_worker th)
+  let termination_cost = termination_cost t in
+  (* One continuation per worker per phase, resubmitted after every
+     slice. *)
+  let continuation worker th =
+    let rec pull () =
+      let cost = work ~worker in
+      if cost > 0 then Engine.submit engine th ~cycles:(cost + dispatch_cost) pull
+      else
+        (* Termination barrier, then park until the next phase. *)
+        Engine.submit engine th ~cycles:termination_cost (fun () -> finish_worker th)
+    in
+    pull
   in
   Array.iter
     (fun th ->
       Obs.phase_begin t.obs ~time:(Engine.now engine) ~collector_id:t.collector_id ~phase
         ~tid:(Engine.thread_id th))
     t.threads;
-  Array.iteri (fun worker th -> Engine.resume engine th (pull worker th)) t.threads
+  Array.iteri (fun worker th -> Engine.resume engine th (continuation worker th)) t.threads
 
 let rec run_phases t phases ~on_done =
   match phases with

@@ -320,7 +320,7 @@ let alloc_in_region t (r : Region.t) ~size ~nfields =
   else begin
     let id = Obj_model.alloc t.store ~size ~nfields ~region:r.index in
     r.used_words <- r.used_words + size;
-    Vec.push r.objects id;
+    Id_vec.push r.objects id;
     t.used_words <- t.used_words + size;
     t.space_used.(space_tag r.space) <- t.space_used.(space_tag r.space) + size;
     t.live_count <- t.live_count + 1;
@@ -338,7 +338,7 @@ let move_object t id (dst : Region.t) =
   if dst.used_words + size > t.region_words then false
   else begin
     dst.used_words <- dst.used_words + size;
-    Vec.push dst.objects id;
+    Id_vec.push dst.objects id;
     t.used_words <- t.used_words + size;
     t.space_used.(space_tag dst.space) <- t.space_used.(space_tag dst.space) + size;
     Obj_model.set_region t.store id dst.index;
@@ -354,58 +354,57 @@ let free_region_bookkeeping t (r : Region.t) =
   ignore (Region.reset r);
   Vec.push t.free_pool r.index
 
+let[@inline] kill t store id =
+  t.live_count <- t.live_count - 1;
+  t.live_words <- t.live_words - Obj_model.size store id;
+  Obj_model.free store id
+
 let release_region t (r : Region.t) =
   !release_log r.index "release";
   if Region.space_equal r.space Region.Free then invalid_arg "Heap.release_region: already free";
   (* Only objects whose storage is still here die with the region: evacuated
      objects have had [region] repointed elsewhere. *)
   let store = t.store in
-  Vec.iter
-    (fun id ->
-      if Obj_model.is_live store id && Obj_model.region store id = r.index then begin
-        t.live_count <- t.live_count - 1;
-        t.live_words <- t.live_words - Obj_model.size store id;
-        Obj_model.free store id
-      end)
-    r.objects;
+  let objects = r.objects in
+  for i = 0 to Id_vec.length objects - 1 do
+    let id = Id_vec.unsafe_get objects i in
+    if Obj_model.is_live store id && Obj_model.region store id = r.index then kill t store id
+  done;
   free_region_bookkeeping t r
 
-let purge_unmarked t (r : Region.t) =
+(* The sweep of a full collection, in the region's object order: each
+   resident either dies (unmarked) or joins [survivors] (marked), so one
+   pass replaces a purge followed by a walk over the remaining residents. *)
+let sweep_region t (r : Region.t) survivors =
   let store = t.store in
-  Vec.iter
-    (fun id ->
-      if
-        Obj_model.is_live store id
-        && Obj_model.region store id = r.index
-        && Obj_model.mark store id <> t.epoch
-      then begin
-        t.live_count <- t.live_count - 1;
-        t.live_words <- t.live_words - Obj_model.size store id;
-        Obj_model.free store id
-      end)
-    r.objects
+  let objects = r.objects in
+  let epoch = t.epoch in
+  for i = 0 to Id_vec.length objects - 1 do
+    let id = Id_vec.unsafe_get objects i in
+    if Obj_model.is_live store id && Obj_model.region store id = r.index then
+      if Obj_model.mark store id = epoch then Id_vec.push survivors id else kill t store id
+  done
 
 (* Free one object in place, as RC reclamation does.  The region keeps its
    [used_words] (the garbage words are what fragmentation-driven evacuation
-   later reclaims) and its [objects] vec keeps the stale id, so callers must
+   later reclaims) and its [objects] list keeps the stale id, so callers must
    run {!compact_region_objects} on every region they freed into before the
    pause ends — a recycled id re-allocated into the same region would
    otherwise alias the stale entry. *)
-let free_object t id =
-  t.live_count <- t.live_count - 1;
-  t.live_words <- t.live_words - Obj_model.size t.store id;
-  Obj_model.free t.store id
+let free_object t id = kill t t.store id
 
 let compact_region_objects t (r : Region.t) =
   let store = t.store in
-  let keep = ref [] in
-  Vec.iter
-    (fun id ->
-      if Obj_model.is_live store id && Obj_model.region store id = r.index then
-        keep := id :: !keep)
-    r.objects;
-  Vec.clear r.objects;
-  List.iter (Vec.push r.objects) (List.rev !keep)
+  let objects = r.objects in
+  let kept = ref 0 in
+  for i = 0 to Id_vec.length objects - 1 do
+    let id = Id_vec.unsafe_get objects i in
+    if Obj_model.is_live store id && Obj_model.region store id = r.index then begin
+      Id_vec.unsafe_set objects !kept id;
+      incr kept
+    end
+  done;
+  Id_vec.truncate objects !kept
 
 let release_region_keep_objects t (r : Region.t) =
   !release_log r.index "release-keep";
@@ -417,9 +416,11 @@ let place_object = move_object
 
 let iter_resident_objects t (r : Region.t) f =
   let store = t.store in
-  Vec.iter
-    (fun id -> if Obj_model.is_live store id && Obj_model.region store id = r.index then f id)
-    r.objects
+  let objects = r.objects in
+  for i = 0 to Id_vec.length objects - 1 do
+    let id = Id_vec.unsafe_get objects i in
+    if Obj_model.is_live store id && Obj_model.region store id = r.index then f id
+  done
 
 let words_allocated_total t = t.words_allocated
 

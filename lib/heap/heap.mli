@@ -174,28 +174,32 @@ val release_region : t -> Region.t -> unit
 (** Reclaims the region: every object still resident dies (its field
     extent is recycled); the region returns to the free pool. *)
 
-val purge_unmarked : t -> Region.t -> unit
-(** Kills every resident object not marked in the current epoch (the sweep
-    half of mark-sweep). *)
+val sweep_region : t -> Region.t -> Id_vec.t -> unit
+(** The sweep half of a full mark-compact, in one pass over the region's
+    object list: every resident object not marked in the current epoch
+    dies, and every marked resident is appended to the buffer, in list
+    order.  The region itself is left as it is; the caller releases it
+    with {!release_region_keep_objects} and re-places the survivors. *)
 
 val free_object : t -> Obj_model.id -> unit
 (** Kill one object in place (RC reclamation).  The owning region keeps
     its [used_words] — the dead words are the fragmentation that drives
-    later evacuation — and its object vec keeps the stale id, so the
+    later evacuation — and its object list keeps the stale id, so the
     caller must {!compact_region_objects} every region it freed into
     before the pause ends (id recycling would otherwise alias the stale
     entry). *)
 
 val compact_region_objects : t -> Region.t -> unit
-(** Rebuild the region's object vec to exactly its live residents.  Must
-    run in the same pause as the {!free_object} calls it cleans up
-    after. *)
+(** Filter the region's object list, in place and in order, down to its
+    live residents.  Must run in the same pause as the {!free_object}
+    calls it cleans up after. *)
 
 val release_region_keep_objects : t -> Region.t -> unit
 (** Returns the region to the free pool {e without} touching the object
-    store.  Used by sliding compaction, which first purges dead objects,
-    then resets all regions, then re-places the survivors with
-    {!place_object}.  The caller must re-place every resident object. *)
+    store.  Used by sliding compaction, which sweeps each region with
+    {!sweep_region} and releases it at once, then re-places the survivors
+    with {!place_object}.  The caller must re-place every resident
+    object. *)
 
 val place_object : t -> Obj_model.id -> Region.t -> bool
 (** Like {!move_object}: re-homes an object during compaction. *)

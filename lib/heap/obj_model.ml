@@ -25,9 +25,11 @@ let fields_capacity ~size =
    total allocation count, and the hot ids stay dense in cache.  Recycling
    is safe because nothing holds a dead id: roots and heap references keep
    their targets live by construction, and every path that frees an object
-   (region release, compaction purge) also clears or rebuilds the region's
-   object vec in the same pause, so a reused id can never alias a stale
-   entry.  [alloc] rewrites every per-id attribute, so a recycled id is
+   also empties or filters the region's object list in the same pause, so
+   a reused id can never alias a stale entry: region release resets the
+   list, a full collection's sweep releases each region right after
+   sweeping it, and RC frees are followed by [Heap.compact_region_objects]
+   on every region they touched.  [alloc] rewrites every per-id attribute, so a recycled id is
    indistinguishable from a fresh one.  Field extents in the arena are
    recycled the same way: when an object dies its extent is pushed onto an
    intrusive free list for its exact field count (the next-pointer is

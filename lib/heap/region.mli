@@ -20,7 +20,7 @@ type t = {
   mutable space : space;
   mutable used_words : int;  (** bump cursor, words allocated *)
   mutable live_words : int;  (** live words found by the last mark *)
-  mutable objects : Obj_model.id Gcr_util.Vec.t;
+  objects : Id_vec.t;
       (** ids of objects whose storage is (or was, until evacuated) here *)
   mutable pinned : bool;  (** excluded from collection sets while set *)
 }
@@ -28,7 +28,7 @@ type t = {
 val make : index:int -> t
 
 val reset : t -> t
-(** Return to the [Free] state with no objects (the vec is cleared, not
-    reallocated). *)
+(** Return to the [Free] state with no objects.  O(1): the object list
+    keeps its slots for the region's next use. *)
 
 val free_words_in : region_words:int -> t -> int

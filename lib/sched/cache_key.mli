@@ -19,6 +19,9 @@ val render : Gcr_runtime.Run.config -> string option
     (and cache-entry validation) can compare the full content, not just
     the digest.  [None] iff the config has a [make_collector] override. *)
 
+val render_cost : Gcr_mach.Cost_model.t -> string
+(** The rendering of every cost-model field, as {!render} embeds it. *)
+
 val of_config : Gcr_runtime.Run.config -> string option
 (** Hex digest of {!render}; stable across processes and OCaml versions
     (the rendering uses no [Hashtbl.hash]).  [None] iff {!render} is. *)

@@ -23,8 +23,11 @@ let create ~dir =
     raise (Sys_error (dir ^ ": not a directory"));
   { dir }
 
+let env_dir () =
+  match Sys.getenv_opt "GCR_CACHE_DIR" with Some "" | None -> None | Some dir -> Some dir
+
 let of_env () =
-  match Sys.getenv_opt "GCR_CACHE_DIR" with
+  match env_dir () with
   | None -> None
   | Some dir -> ( try Some (create ~dir) with Sys_error _ -> None)
 

@@ -17,6 +17,11 @@ val create : dir:string -> t
 (** Creates [dir] (and missing parents) if needed.  Raises [Sys_error]
     if the directory cannot be created. *)
 
+val env_dir : unit -> string option
+(** [GCR_CACHE_DIR], when set to a non-empty value.  Every reader of the
+    variable goes through this, so an empty value means unset
+    everywhere. *)
+
 val of_env : unit -> t option
 (** [Some (create ~dir:$GCR_CACHE_DIR)] when the variable is set and the
     directory is usable, else [None].  Result caching is opt-in: unlike

@@ -1,8 +1,9 @@
 (** Growable arrays (OCaml 5.1's stdlib predates [Dynarray]).
 
-    Used pervasively for per-region object lists, mark stacks, pause logs and
-    sample sets.  Amortised O(1) push, O(1) random access, swap-removal for
-    unordered sets. *)
+    Used pervasively for free pools, allocator sets, pause logs and sample
+    sets (region object lists use the int-only [Gcr_heap.Id_vec]).
+    Amortised O(1) push, O(1) random access, swap-removal for unordered
+    sets. *)
 
 type 'a t
 

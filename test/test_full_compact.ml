@@ -9,6 +9,7 @@ module Engine = Gcr_engine.Engine
 module Gc_types = Gcr_gcs.Gc_types
 module Full_compact = Gcr_gcs.Full_compact
 module Worker_pool = Gcr_gcs.Worker_pool
+module Tracer = Gcr_gcs.Tracer
 module Prng = Gcr_util.Prng
 
 let check = Alcotest.check
@@ -110,9 +111,141 @@ let test_idempotent_when_all_live () =
   let _ = run_compact ctx engine in
   check Alcotest.int "nothing reclaimed" live_before (Heap.live_objects heap)
 
+(* Oracle for the fused sweep: the two-pass full collection Full_compact
+   ran before, kept here only.  Mark everything reachable, then purge the
+   unmarked residents of every in-use region and collect the rest, then
+   release every in-use region in a second pass, then slide the survivors
+   into old regions in collection order. *)
+let oracle_compact (ctx : Gc_types.ctx) =
+  let heap = ctx.Gc_types.heap in
+  Gcr_util.Vec.iter Allocator.retire ctx.Gc_types.allocators;
+  ignore (Heap.begin_mark_epoch heap);
+  Heap.iter_regions (fun r -> r.Region.live_words <- 0) heap;
+  let tracer =
+    Tracer.create ctx ~use_scratch:false ~update_region_live:true
+      ~should_visit:(fun _ -> true)
+      ~on_mark:(fun _ -> 0)
+  in
+  !(ctx.Gc_types.iter_roots) (Tracer.add_root tracer);
+  while Tracer.pending tracer do
+    ignore (Tracer.drain tracer ~budget:64)
+  done;
+  let in_use r = not (Region.space_equal r.Region.space Region.Free) in
+  let survivors = ref [] in
+  Heap.iter_regions
+    (fun r ->
+      if in_use r then begin
+        Heap.iter_resident_objects heap r (fun id ->
+            if not (Heap.is_marked heap id) then Heap.free_object heap id);
+        Heap.iter_resident_objects heap r (fun id -> survivors := id :: !survivors)
+      end)
+    heap;
+  Heap.iter_regions (fun r -> if in_use r then Heap.release_region_keep_objects heap r) heap;
+  let survivors = List.rev !survivors in
+  let target = Allocator.create heap ~space:Region.Old in
+  List.iter
+    (fun id ->
+      let fits () =
+        match Allocator.current_region target with
+        | Some dst -> Heap.place_object heap id dst
+        | None -> false
+      in
+      if not (fits ()) then begin
+        ignore (Allocator.refill target);
+        if not (fits ()) then Alcotest.fail "oracle could not place a survivor"
+      end)
+    survivors;
+  Allocator.retire target;
+  ( survivors,
+    Tracer.objects_marked tracer,
+    Tracer.words_marked tracer,
+    Tracer.edges_seen tracer )
+
+(* Every [moved_every]-th resident is evacuated into survivor regions
+   first, so in-use regions hold stale entries for objects stored
+   elsewhere (0: move nothing). *)
+let scatter heap ~moved_every =
+  if moved_every > 0 then begin
+    let ids = ref [] in
+    Heap.iter_regions (fun r -> Heap.iter_resident_objects heap r (fun id -> ids := id :: !ids)) heap;
+    let dst = ref None in
+    List.iteri
+      (fun i id ->
+        if i mod moved_every = 0 then begin
+          let moved =
+            match !dst with Some r -> Heap.move_object heap id r | None -> false
+          in
+          if not moved then begin
+            dst := Heap.take_free_region heap ~space:Region.Survivor;
+            match !dst with
+            | Some r -> ignore (Heap.move_object heap id r)
+            | None -> Alcotest.fail "test heap too small to scatter"
+          end
+        end)
+      (List.rev !ids)
+  end
+
+(* Everything the sweep order can show: per region, its space, cursor,
+   [live_words] and residents in list order; the heap totals; the
+   free-pool order; and the ids the next allocations recycle. *)
+let observe heap =
+  let regions =
+    List.init (Heap.total_regions heap) (fun i ->
+        let r = Heap.region heap i in
+        let residents = ref [] in
+        Heap.iter_resident_objects heap r (fun id -> residents := id :: !residents);
+        ( Format.asprintf "%a" Region.pp_space r.Region.space,
+          r.Region.used_words,
+          r.Region.live_words,
+          List.rev !residents ))
+  in
+  let totals = (Heap.live_objects heap, Heap.live_words_exact heap, Heap.used_words heap) in
+  let rec drain_pool acc =
+    match Heap.take_free_region heap ~space:Region.Old with
+    | Some r -> drain_pool (r :: acc)
+    | None -> List.rev acc
+  in
+  let pool = drain_pool [] in
+  let recycled =
+    match pool with
+    | r :: _ -> List.init 4 (fun _ -> Heap.alloc_in_region heap r ~size:4 ~nfields:1)
+    | [] -> []
+  in
+  (regions, totals, List.map (fun r -> r.Region.index) pool, recycled)
+
+let prop_matches_two_pass_oracle =
+  QCheck.Test.make ~name:"one-pass sweep matches the two-pass oracle" ~count:60
+    (* no shrinker: shrunk values would leave the generator's ranges *)
+    (QCheck.make
+       ~print:(fun (seed, objects, live_every, moved_every) ->
+         Printf.sprintf "seed=%d objects=%d live_every=%d moved_every=%d" seed objects
+           live_every moved_every)
+       QCheck.Gen.(
+         quad (int_bound 10_000) (int_range 20 400) (int_range 1 7) (int_bound 9)))
+    (fun (seed, objects, live_every, moved_every) ->
+      (* room for every object twice over: built, then scattered *)
+      let regions = (objects * 24 / 64) + 8 in
+      let fresh () =
+        let ctx, engine, _ = build ~regions ~region_words:64 ~objects ~live_every ~seed in
+        scatter ctx.Gc_types.heap ~moved_every;
+        (ctx, engine)
+      in
+      let ctx, engine = fresh () in
+      let result = run_compact ctx engine in
+      let oracle_ctx, _ = fresh () in
+      let survivors, marked, words, edges = oracle_compact oracle_ctx in
+      let heap = ctx.Gc_types.heap and oracle_heap = oracle_ctx.Gc_types.heap in
+      result.Full_compact.objects_marked = marked
+      && result.Full_compact.words_live = words
+      && result.Full_compact.edges = edges
+      && List.map (Heap.obj_region heap) survivors
+         = List.map (Heap.obj_region oracle_heap) survivors
+      && observe heap = observe oracle_heap)
+
 let suite =
   [
     Alcotest.test_case "compacts" `Quick test_compacts;
     Alcotest.test_case "works with empty pool" `Quick test_works_with_empty_pool;
     Alcotest.test_case "idempotent when all live" `Quick test_idempotent_when_all_live;
+    QCheck_alcotest.to_alcotest prop_matches_two_pass_oracle;
   ]

@@ -205,6 +205,40 @@ let test_minheap_properties () =
   let again = Minheap.find ~config spec in
   check Alcotest.int "memoised" words again
 
+(* The minheap memo must key on the whole cost model.  Recorded into an
+   isolated GCR_CACHE_DIR, under a spec name no real search uses, so
+   neither the memo nor any minheap.tsv is left holding a fake answer for
+   a real benchmark. *)
+let test_minheap_memo_keys_whole_cost_model () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gcr-minheap-key-test-%d" (Unix.getpid ()))
+  in
+  let tsv = Filename.concat dir "minheap.tsv" in
+  if Sys.file_exists tsv then Sys.remove tsv;
+  let old = Sys.getenv_opt "GCR_CACHE_DIR" in
+  Unix.putenv "GCR_CACHE_DIR" dir;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "GCR_CACHE_DIR" (Option.value old ~default:""))
+    (fun () ->
+      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      let spec = { (Suite.find_exn "h2") with Spec.name = "minheap-memo-key-test" } in
+      let config = Minheap.default_config () in
+      let cost = config.Minheap.cost in
+      let other =
+        {
+          config with
+          Minheap.cost =
+            { cost with Gcr_mach.Cost_model.compact_per_word = cost.compact_per_word + 1 };
+        }
+      in
+      Minheap.record config spec 4096;
+      check (Alcotest.option Alcotest.int) "same cost model hits" (Some 4096)
+        (Minheap.find_cached config spec);
+      check (Alcotest.option Alcotest.int) "compact_per_word differs: miss" None
+        (Minheap.find_cached other spec);
+      check Alcotest.bool "recorded into the isolated dir" true (Sys.file_exists tsv))
+
 let suite =
   [
     Alcotest.test_case "cells populated" `Quick test_cells_populated;
@@ -220,4 +254,6 @@ let suite =
       test_report_all_without_core_benchmarks;
     Alcotest.test_case "validation bound holds" `Quick test_validation_bound_holds;
     Alcotest.test_case "minheap properties" `Quick test_minheap_properties;
+    Alcotest.test_case "minheap memo keys whole cost model" `Quick
+      test_minheap_memo_keys_whole_cost_model;
   ]

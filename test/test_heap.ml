@@ -109,16 +109,53 @@ let test_mark_epochs () =
   check Alcotest.bool "scratch marked" true (Heap.is_scratch_marked h o);
   check Alcotest.bool "main unaffected" false (Heap.is_marked h o)
 
-let test_purge_unmarked () =
+let test_sweep_region () =
   let h = make_heap () in
   let r = Option.get (Heap.take_free_region h ~space:Region.Eden) in
   let keep = alloc_exn h r ~size:4 ~nfields:0 in
   let drop = alloc_exn h r ~size:4 ~nfields:0 in
+  let keep2 = alloc_exn h r ~size:6 ~nfields:0 in
   ignore (Heap.begin_mark_epoch h);
   Heap.set_marked h keep;
-  Heap.purge_unmarked h r;
+  Heap.set_marked h keep2;
+  let survivors = Gcr_heap.Id_vec.create () in
+  Heap.sweep_region h r survivors;
   check Alcotest.bool "marked survives" true (Heap.is_live h keep);
-  check Alcotest.bool "unmarked purged" false (Heap.is_live h drop)
+  check Alcotest.bool "unmarked swept" false (Heap.is_live h drop);
+  check (Alcotest.list Alcotest.int) "marked residents in list order" [ keep; keep2 ]
+    (List.init (Gcr_heap.Id_vec.length survivors) (Gcr_heap.Id_vec.get survivors));
+  check Alcotest.int "live words" 10 (Heap.live_words_exact h);
+  check Alcotest.bool "region not released" true
+    (Region.space_equal r.Region.space Region.Eden)
+
+let test_id_vec () =
+  let module Id_vec = Gcr_heap.Id_vec in
+  let v = Id_vec.create () in
+  for i = 1 to 20 do
+    Id_vec.push v i
+  done;
+  let contents v = List.init (Id_vec.length v) (Id_vec.get v) in
+  check (Alcotest.list Alcotest.int) "grown past 8" (List.init 20 (fun i -> i + 1)) (contents v);
+  (* in-place filter: keep the even ids, in order *)
+  let kept = ref 0 in
+  for i = 0 to Id_vec.length v - 1 do
+    let id = Id_vec.unsafe_get v i in
+    if id mod 2 = 0 then begin
+      Id_vec.unsafe_set v !kept id;
+      incr kept
+    end
+  done;
+  Id_vec.truncate v !kept;
+  check (Alcotest.list Alcotest.int) "filtered" (List.init 10 (fun i -> 2 * (i + 1))) (contents v);
+  Alcotest.check_raises "get past length" (Invalid_argument "Id_vec.get: index out of bounds")
+    (fun () -> ignore (Id_vec.get v 10));
+  Id_vec.clear v;
+  check Alcotest.int "cleared" 0 (Id_vec.length v);
+  Id_vec.push v 7;
+  check (Alcotest.list Alcotest.int) "reused after clear" [ 7 ] (contents v);
+  let presized = Id_vec.make ~capacity:3 in
+  List.iter (Id_vec.push presized) [ 4; 5; 6; 7 ];
+  check (Alcotest.list Alcotest.int) "presized, then grown" [ 4; 5; 6; 7 ] (contents presized)
 
 let test_release_keep_objects_and_place () =
   let h = make_heap () in
@@ -209,7 +246,8 @@ let suite =
     Alcotest.test_case "move survives release" `Quick test_move_object_survives_release;
     Alcotest.test_case "move rejects full dst" `Quick test_move_rejects_when_full;
     Alcotest.test_case "mark epochs" `Quick test_mark_epochs;
-    Alcotest.test_case "purge unmarked" `Quick test_purge_unmarked;
+    Alcotest.test_case "sweep region" `Quick test_sweep_region;
+    Alcotest.test_case "id vec" `Quick test_id_vec;
     Alcotest.test_case "raw release + place" `Quick test_release_keep_objects_and_place;
     Alcotest.test_case "alloc reserve" `Quick test_alloc_reserve;
     Alcotest.test_case "reachable_from" `Quick test_reachable_from;
